@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
-from repro.arith.linexpr import Coefficient, LinExpr, to_linexpr, Unknown
+from repro.arith.linexpr import Coefficient, LinExpr, Rational, to_linexpr, Unknown
 
 
 class Rel(enum.Enum):
@@ -32,7 +31,7 @@ class Rel(enum.Enum):
         """The relation satisfied by ``-expr`` when ``expr REL 0`` holds."""
         return _FLIPS[self]
 
-    def evaluate(self, value: Fraction) -> bool:
+    def evaluate(self, value: Rational) -> bool:
         if self is Rel.LT:
             return value < 0
         if self is Rel.LE:
@@ -65,12 +64,32 @@ _FLIPS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constraint:
-    """``expr rel 0`` over rational unknowns."""
+    """``expr rel 0`` over rational unknowns.
+
+    Constraints are the keys of the FM memos and of condition-branch
+    dedup, so equality is identity-first and the hash is computed once
+    per instance."""
 
     expr: LinExpr
     rel: Rel
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Constraint):
+            return NotImplemented
+        return self.rel is other.rel and self.expr == other.expr
+
+    def __hash__(self) -> int:
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.expr, self.rel.value))
+            # frozen dataclass: bypass the frozen __setattr__ for the
+            # memo slot (not a field, so eq is unaffected)
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def negate(self) -> "Constraint":
         return Constraint(self.expr, self.rel.negate())
@@ -107,8 +126,6 @@ class Constraint:
                 rel = rel.flip()
             expr = expr / abs(coeff)
         result = Constraint(expr, rel)
-        # frozen dataclass: bypass the frozen __setattr__ for the memo slot
-        # (not a field, so eq/hash are unaffected)
         object.__setattr__(result, "_canonical", result)
         object.__setattr__(self, "_canonical", result)
         return result

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from repro.arith.constraints import Constraint, Rel
-from repro.arith.linexpr import LinExpr, Unknown
+from repro.arith.linexpr import LinExpr, Rational, Unknown, quotient
 from repro.fuzz.coverage import COVERAGE
 from repro.perf.counters import COUNTERS
 from repro.perf.phases import PHASES
@@ -53,7 +52,7 @@ class ConstraintSystem:
             result.update(constraint.unknowns)
         return frozenset(result)
 
-    def holds(self, valuation: Mapping[Unknown, Fraction]) -> bool:
+    def holds(self, valuation: Mapping[Unknown, Rational]) -> bool:
         return all(c.holds(valuation) for c in self.constraints)
 
     def __iter__(self):
@@ -66,7 +65,9 @@ class ConstraintSystem:
 def _normalize(constraints: Iterable[Constraint]) -> list[Constraint] | None:
     """Rewrite into {LT, LE, EQ, NE} forms; resolve constant constraints.
 
-    Returns None when a constant constraint is already violated.
+    Returns None when a constant constraint is already violated.  A
+    constraint that needs no rewriting is kept as the same object, so
+    memo probes on it compare by identity.
     """
     out: list[Constraint] = []
     for constraint in constraints:
@@ -80,7 +81,7 @@ def _normalize(constraints: Iterable[Constraint]) -> list[Constraint] | None:
             if not rel.evaluate(expr.constant):
                 return None
             continue
-        out.append(Constraint(expr, rel))
+        out.append(constraint if rel is constraint.rel else Constraint(expr, rel))
     return out
 
 
@@ -457,8 +458,9 @@ def clear_caches() -> None:
     _PROJ_CACHE.clear()
 
 
-def sample_solution(constraints: Iterable[Constraint]) -> dict[Unknown, Fraction] | None:
-    """Produce one rational solution, or None when unsatisfiable.
+def sample_solution(constraints: Iterable[Constraint]) -> dict[Unknown, Rational] | None:
+    """Produce one rational solution, or None when unsatisfiable.  Values
+    are in stored form: int when integral, else Fraction.
 
     Back-substitution over the FM elimination order; used by tests and by
     witness concretization.
@@ -473,7 +475,7 @@ def sample_solution(constraints: Iterable[Constraint]) -> dict[Unknown, Fraction
     return None
 
 
-def _sample_branch(branch: list[Constraint]) -> dict[Unknown, Fraction] | None:
+def _sample_branch(branch: list[Constraint]) -> dict[Unknown, Rational] | None:
     unknowns = sorted({u for c in branch for u in c.unknowns}, key=repr)
     stack: list[tuple[Unknown, list[Constraint]]] = []
     current = branch
@@ -489,7 +491,7 @@ def _sample_branch(branch: list[Constraint]) -> dict[Unknown, Fraction] | None:
         current = reduced
     if _normalize(current) is None:  # constant contradiction
         return None
-    solution: dict[Unknown, Fraction] = {}
+    solution: dict[Unknown, Rational] = {}
     for unknown, system in reversed(stack):
         value = _pick_value(system, unknown, solution)
         if value is None:
@@ -499,19 +501,19 @@ def _sample_branch(branch: list[Constraint]) -> dict[Unknown, Fraction] | None:
 
 
 def _pick_value(
-    system: list[Constraint], unknown: Unknown, partial: dict[Unknown, Fraction]
-) -> Fraction | None:
+    system: list[Constraint], unknown: Unknown, partial: dict[Unknown, Rational]
+) -> Rational | None:
     """Pick a value for ``unknown`` consistent with ``system`` given values
     for all later-eliminated unknowns."""
-    lower: tuple[Fraction, bool] | None = None  # (bound, strict)
-    upper: tuple[Fraction, bool] | None = None
+    lower: tuple[Rational, bool] | None = None  # (bound, strict)
+    upper: tuple[Rational, bool] | None = None
     for constraint in system:
         coeff = constraint.expr.coefficient(unknown)
         if coeff == 0:
             continue
         residual = constraint.expr - LinExpr({unknown: coeff})
         known = {u: partial[u] for u in residual.unknowns}
-        bound = -residual.evaluate(known) / coeff
+        bound = quotient(-residual.evaluate(known), coeff)
         if constraint.rel is Rel.EQ:
             lower = _tighten_lower(lower, (bound, False))
             upper = _tighten_upper(upper, (bound, False))
@@ -522,7 +524,7 @@ def _pick_value(
         else:
             lower = _tighten_lower(lower, (bound, strict))
     if lower is None and upper is None:
-        return Fraction(0)
+        return 0
     if lower is None:
         assert upper is not None
         return upper[0] - 1
@@ -536,12 +538,12 @@ def _pick_value(
         if low_strict or up_strict:
             return None
         return low
-    return (low + up) / 2
+    return quotient(low + up, 2)
 
 
 def _tighten_lower(
-    current: tuple[Fraction, bool] | None, candidate: tuple[Fraction, bool]
-) -> tuple[Fraction, bool]:
+    current: tuple[Rational, bool] | None, candidate: tuple[Rational, bool]
+) -> tuple[Rational, bool]:
     if current is None:
         return candidate
     if candidate[0] > current[0]:
@@ -552,8 +554,8 @@ def _tighten_lower(
 
 
 def _tighten_upper(
-    current: tuple[Fraction, bool] | None, candidate: tuple[Fraction, bool]
-) -> tuple[Fraction, bool]:
+    current: tuple[Rational, bool] | None, candidate: tuple[Rational, bool]
+) -> tuple[Rational, bool]:
     if current is None:
         return candidate
     if candidate[0] < current[0]:

@@ -1,8 +1,16 @@
 """Exact linear expressions over named unknowns.
 
-A :class:`LinExpr` is an immutable mapping ``unknown -> Fraction`` plus a
+A :class:`LinExpr` is an immutable mapping ``unknown -> coefficient`` plus a
 constant term.  Unknowns are arbitrary hashable objects — the verifier uses
 numeric artifact variables and navigation expressions as unknowns.
+
+Coefficients and constants are *fraction-free where possible*: a value is a
+plain ``int`` whenever it is integral and a :class:`Fraction` (denominator
+> 1) only otherwise, never a float.  Ints hash and compare at C speed, and
+``hash(3) == hash(Fraction(3))`` with ``3 == Fraction(3)``, so the two
+representations of one value stay interchangeable as dict keys.  Every
+division goes through :func:`quotient`, so ``int / int`` never yields a
+float.
 """
 
 from __future__ import annotations
@@ -12,22 +20,39 @@ from typing import Hashable, Iterable, Mapping
 
 Unknown = Hashable
 Coefficient = int | float | Fraction
+#: The stored form of a coefficient: int when integral, else Fraction.
+Rational = int | Fraction
 
 
-def _coerce(value: Coefficient) -> Fraction:
+def demote(value: Rational) -> Rational:
+    """An integral :class:`Fraction` as ``int``; anything else unchanged."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def quotient(numerator: Rational, denominator: Rational) -> Rational:
+    """Exact ``numerator / denominator`` in stored form (never a float)."""
+    return demote(Fraction(numerator, denominator))
+
+
+def _coerce(value: Coefficient) -> Rational:
     if isinstance(value, Fraction):
-        return value
+        return demote(value)
     if isinstance(value, bool):  # guard against accidental booleans
         raise TypeError("boolean is not a coefficient")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, float):
-        return Fraction(value).limit_denominator(10**12)
+        return demote(Fraction(value).limit_denominator(10**12))
     raise TypeError(f"cannot use {value!r} as a coefficient")
 
 
 class LinExpr:
-    """``c0 + Σ ci·ui`` with rational coefficients, immutable and hashable."""
+    """``c0 + Σ ci·ui`` with rational coefficients, immutable and hashable.
+
+    Invariant: every stored coefficient and the constant are in
+    :data:`Rational` stored form (see the module docstring)."""
 
     __slots__ = ("_coeffs", "_constant", "_hash", "_unknowns")
 
@@ -42,16 +67,16 @@ class LinExpr:
                 frac = _coerce(coeff)
                 if frac != 0:
                     items[unknown] = frac
-        self._coeffs: dict[Unknown, Fraction] = items
+        self._coeffs: dict[Unknown, Rational] = items
         self._constant = _coerce(constant)
         self._hash: int | None = None
         self._unknowns: frozenset[Unknown] | None = None
 
     @classmethod
-    def _raw(cls, coeffs: dict[Unknown, Fraction], constant: Fraction) -> "LinExpr":
+    def _raw(cls, coeffs: dict[Unknown, Rational], constant: Rational) -> "LinExpr":
         """Trusted constructor for the hot algebraic paths: ``coeffs`` must
-        already be a private dict of non-zero ``Fraction`` values and
-        ``constant`` a ``Fraction``.  Skips coercion and zero-filtering —
+        already be a private dict of non-zero stored-form values and
+        ``constant`` in stored form.  Skips coercion and zero-filtering —
         the arithmetic below guarantees both invariants."""
         expr = cls.__new__(cls)
         expr._coeffs = coeffs
@@ -62,15 +87,15 @@ class LinExpr:
 
     # ------------------------------------------------------------------
     @property
-    def constant(self) -> Fraction:
+    def constant(self) -> Rational:
         return self._constant
 
     @property
-    def coeffs(self) -> Mapping[Unknown, Fraction]:
+    def coeffs(self) -> Mapping[Unknown, Rational]:
         return dict(self._coeffs)
 
-    def coefficient(self, unknown: Unknown) -> Fraction:
-        return self._coeffs.get(unknown, Fraction(0))
+    def coefficient(self, unknown: Unknown) -> Rational:
+        return self._coeffs.get(unknown, 0)
 
     @property
     def unknowns(self) -> frozenset[Unknown]:
@@ -90,12 +115,12 @@ class LinExpr:
         coeffs = dict(self._coeffs)
         for unknown, coeff in other._coeffs.items():
             merged = coeffs.get(unknown)
-            merged = coeff if merged is None else merged + coeff
+            merged = coeff if merged is None else demote(merged + coeff)
             if merged == 0:
                 coeffs.pop(unknown, None)
             else:
                 coeffs[unknown] = merged
-        return LinExpr._raw(coeffs, self._constant + other._constant)
+        return LinExpr._raw(coeffs, demote(self._constant + other._constant))
 
     __radd__ = __add__
 
@@ -111,18 +136,20 @@ class LinExpr:
         return to_linexpr(other) + (-self)
 
     def __mul__(self, scalar: Coefficient) -> "LinExpr":
-        frac = _coerce(scalar)
-        if frac == 0:
-            return LinExpr._raw({}, Fraction(0))
+        factor = _coerce(scalar)
+        if factor == 0:
+            return LinExpr._raw({}, 0)
+        if factor == 1:
+            return self
         return LinExpr._raw(
-            {u: c * frac for u, c in self._coeffs.items()}, self._constant * frac
+            {u: demote(c * factor) for u, c in self._coeffs.items()},
+            demote(self._constant * factor),
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Coefficient) -> "LinExpr":
-        frac = _coerce(scalar)
-        return self * (Fraction(1) / frac)
+        return self * quotient(1, _coerce(scalar))
 
     def substitute(self, assignment: Mapping[Unknown, "LinExpr | Coefficient"]) -> "LinExpr":
         """Replace unknowns by expressions (or constants)."""
@@ -136,22 +163,22 @@ class LinExpr:
 
     def rename(self, mapping: Mapping[Unknown, Unknown]) -> "LinExpr":
         """Rename unknowns; unknowns not in the mapping are kept."""
-        coeffs: dict[Unknown, Fraction] = {}
+        coeffs: dict[Unknown, Rational] = {}
         for unknown, coeff in self._coeffs.items():
             target = mapping.get(unknown, unknown)
             merged = coeffs.get(target)
-            merged = coeff if merged is None else merged + coeff
+            merged = coeff if merged is None else demote(merged + coeff)
             if merged == 0:
                 coeffs.pop(target, None)
             else:
                 coeffs[target] = merged
         return LinExpr._raw(coeffs, self._constant)
 
-    def evaluate(self, valuation: Mapping[Unknown, Coefficient]) -> Fraction:
+    def evaluate(self, valuation: Mapping[Unknown, Coefficient]) -> Rational:
         total = self._constant
         for unknown, coeff in self._coeffs.items():
             total += coeff * _coerce(valuation[unknown])
-        return total
+        return demote(total)
 
     def normalized(self) -> "LinExpr":
         """Scale so the leading coefficient (in sorted unknown order) is 1;
@@ -163,6 +190,8 @@ class LinExpr:
 
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, LinExpr):
             return NotImplemented
         return self._constant == other._constant and self._coeffs == other._coeffs
@@ -200,7 +229,7 @@ def const(value: Coefficient) -> LinExpr:
 
 
 def linear_combination(terms: Iterable[tuple[Coefficient, Unknown]], constant: Coefficient = 0) -> LinExpr:
-    coeffs: dict[Unknown, Fraction] = {}
+    coeffs: dict[Unknown, Rational] = {}
     for coeff, unknown in terms:
-        coeffs[unknown] = coeffs.get(unknown, Fraction(0)) + _coerce(coeff)
+        coeffs[unknown] = coeffs.get(unknown, 0) + _coerce(coeff)
     return LinExpr(coeffs, constant)

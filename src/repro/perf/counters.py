@@ -16,8 +16,6 @@ Counter semantics (hits / misses; rate = hits / (hits + misses)):
 
 * ``store_key``       — :meth:`ConstraintStore.canonical_key` served from
   the store's dirty-bit cache vs recomputed;
-* ``constraint_canon`` — per-constraint canonical-form strings inside
-  ``canonical_key`` served from the global label-keyed memo;
 * ``fm_sat``          — per-component Fourier–Motzkin satisfiability
   verdicts served from the cache;
 * ``fm_proj``         — whole ``project_components`` calls served from
@@ -53,8 +51,6 @@ from __future__ import annotations
 _COUNTER_NAMES = (
     "store_key_hits",
     "store_key_misses",
-    "constraint_canon_hits",
-    "constraint_canon_misses",
     "fm_sat_hits",
     "fm_sat_misses",
     "fm_proj_hits",

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from repro.arith.constraints import Constraint, Rel
-from repro.arith.linexpr import LinExpr
+from repro.arith.linexpr import LinExpr, Rational, demote
 from repro.database.schema import Attribute, AttributeKind, DatabaseSchema, Relation
 from repro.errors import SpecificationError
 from repro.has.services import (
@@ -87,13 +87,14 @@ class SerializationError(SpecificationError):
 # ----------------------------------------------------------------------
 # rationals
 # ----------------------------------------------------------------------
-def _frac_str(value: Fraction) -> str:
+def _frac_str(value: Rational) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _parse_frac(text: str) -> Fraction:
+def _parse_frac(text: str) -> Rational:
+    """Inverse of :func:`_frac_str`, in stored form (int when integral)."""
     num, _, den = text.partition("/")
-    return Fraction(int(num), int(den or 1))
+    return demote(Fraction(int(num), int(den or 1)))
 
 
 # ----------------------------------------------------------------------

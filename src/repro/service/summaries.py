@@ -33,11 +33,10 @@ key — is a miss (``None``), never an exception.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
 from repro.arith.constraints import Constraint, Rel
-from repro.arith.linexpr import LinExpr
+from repro.arith.linexpr import LinExpr, Rational
 from repro.database.schema import DatabaseSchema
 from repro.has.system import HAS
 from repro.hltl.formulas import HLTLSpec
@@ -62,7 +61,8 @@ from repro.verifier.config import VerifierConfig
 #: Bump when the persisted record layout or key material changes
 #: incompatibly; the version participates in the content hash, so old
 #: store directories simply stop hitting instead of mis-decoding.
-SUMMARY_SCHEMA_VERSION = 1
+#: v2: the numeric parts of store canonical keys became integer tuples.
+SUMMARY_SCHEMA_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -110,17 +110,20 @@ def _decode_node(data: dict, memo: dict[Node, Node]) -> Node:
 # canonical-key tuples and β keys
 # ----------------------------------------------------------------------
 def encode_key(key: Any) -> Any:
-    """A canonical-key tuple as nested JSON lists (scalars pass through)."""
+    """A canonical-key tuple in JSON-serializable form (scalars pass
+    through).  Nested tuples stay tuples: ``json`` writes them as lists,
+    and the in-memory store tier holds them in less memory than lists."""
     if isinstance(key, tuple):
-        return [encode_key(part) for part in key]
+        return tuple([encode_key(part) for part in key])
     if key is None or isinstance(key, (str, bool, int, float)):
         return key
     raise TypeError(f"not an encodable key component: {key!r}")
 
 
 def decode_key(data: Any) -> Any:
-    """Inverse of :func:`encode_key`: nested lists back to tuples."""
-    if isinstance(data, list):
+    """Inverse of :func:`encode_key`: nested lists (read from disk) or
+    tuples (the in-memory tier) back to tuples."""
+    if isinstance(data, (list, tuple)):
         return tuple(decode_key(part) for part in data)
     if data is None or isinstance(data, (str, bool, int, float)):
         return data
@@ -168,7 +171,7 @@ def _encode_constraint(constraint: Constraint) -> dict:
 
 
 def _decode_constraint(data: dict, memo: dict[Node, Node]) -> Constraint:
-    coeffs: dict[Node, Fraction] = {}
+    coeffs: dict[Node, Rational] = {}
     for node_data, coeff in data["terms"]:
         coeffs[_decode_node(node_data, memo)] = _parse_frac(coeff)
     return Constraint(

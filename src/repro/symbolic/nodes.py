@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
+
+from repro.arith.linexpr import Rational
 
 
 class Sort(enum.Enum):
@@ -79,22 +80,38 @@ class NavNode(Node):
         return f"{self.base!r}.{self.attr}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstNode(Node):
-    value: Fraction
+    """A numeric constant; ``value`` in the int-when-integral stored form
+    of :mod:`repro.arith.linexpr`."""
+
+    value: Rational
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.value))
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, ConstNode) and self.value == other.value
+        )
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _NullNode(Node):
+    """The null constant: a singleton, so identity hash and equality."""
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "null"
 
 
 NULL = _NullNode()
-ZERO = ConstNode(Fraction(0))
+ZERO = ConstNode(0)
 
 
 def null_node() -> Node:

@@ -25,19 +25,20 @@ paper's total types).
 Stores are the unit of memoization throughout the verifier:
 :meth:`ConstraintStore.canonical_key` renders a store as a nested tuple
 invariant under internal node renaming, cached per store behind a dirty
-bit (every mutator invalidates) with the expensive per-constraint
-canonicalization memoized globally and the finished keys interned — see
+bit (every mutator invalidates), with each linear constraint in an
+integer canonical form and the finished keys interned — see
 docs/performance.md for the cache design and its invariants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from repro.arith.constraints import Constraint, Rel
 from repro.arith.fm import is_satisfiable, project_components
-from repro.arith.linexpr import LinExpr
+from repro.arith.linexpr import LinExpr, Rational, demote
 from repro.fuzz.coverage import COVERAGE
 from repro.perf.counters import COUNTERS
 from repro.perf.phases import PHASES
@@ -56,7 +57,7 @@ from repro.symbolic.nodes import (
 PinLabel = tuple
 
 # ----------------------------------------------------------------------
-# canonical-key memoization (module-global, shared across stores)
+# canonical-key interning (module-global, shared across stores)
 # ----------------------------------------------------------------------
 # Interning table for canonical-key components: equal keys become the
 # *same* tuple object, so the dict lookups that consume them (state
@@ -65,12 +66,8 @@ PinLabel = tuple
 _KEY_INTERN: dict = {}
 _KEY_INTERN_LIMIT = 200_000
 
-# Per-(constraint, label-assignment) canonical-form strings: renaming a
-# constraint onto access-path labels and canonicalizing it is the single
-# hottest step of canonical_key, and the same (constraint, labels) pair
-# recurs across thousands of sibling stores.
-_CONSTRAINT_CANON_CACHE: dict = {}
-_CONSTRAINT_CANON_CACHE_LIMIT = 400_000
+# One node per constant value, so dict probes on it hit by identity.
+_CONST_NODES: dict[Rational, ConstNode] = {0: ZERO}
 
 
 def _intern_key(value: tuple) -> tuple:
@@ -82,33 +79,36 @@ def _intern_key(value: tuple) -> tuple:
 def clear_canonical_caches() -> None:
     """Drop the canonical-key memos (tests, benchmarks)."""
     _KEY_INTERN.clear()
-    _CONSTRAINT_CANON_CACHE.clear()
 
 
-def _constraint_canon_repr(constraint: Constraint, label_of: Mapping) -> str:
-    """``repr(constraint.rename(label_of).canonical())``, memoized.
-
-    The memo key is the constraint plus the label assignment restricted
-    to the unknowns it actually mentions — everything the rename reads
-    (unknowns absent from ``label_of`` rename to themselves, and are
-    covered by the constraint's own identity).
+def _constraint_key(constraint: Constraint, label_of: Mapping) -> tuple:
+    """The constraint renamed onto access-path labels, in integer form
+    ``(rel, ((label, coeff), ...), const)``: scaled by the lcm of the
+    denominators, divided by the gcd, and negated (flipping ``rel``) when
+    the first coefficient is negative.  Parts are equal iff one constraint
+    is a non-zero multiple of the other — the partition of
+    ``repr(constraint.rename(label_of).canonical())``.  Nodes no access
+    path reaches are labeled by ``repr``; a constraint without unknowns
+    is not scaled.
     """
-    labels = frozenset(
-        (unknown, label_of[unknown])
-        for unknown in constraint.unknowns
-        if unknown in label_of
-    )
-    key = (constraint, labels)
-    cached = _CONSTRAINT_CANON_CACHE.get(key)
-    if cached is not None:
-        COUNTERS.constraint_canon_hits += 1
-        return cached
-    COUNTERS.constraint_canon_misses += 1
-    rendered = repr(constraint.rename(label_of).canonical())
-    if len(_CONSTRAINT_CANON_CACHE) >= _CONSTRAINT_CANON_CACHE_LIMIT:
-        _CONSTRAINT_CANON_CACHE.clear()
-    _CONSTRAINT_CANON_CACHE[key] = rendered
-    return rendered
+    terms: dict = {}
+    for unknown, coeff in constraint.expr._coeffs.items():
+        label = label_of.get(unknown) or (("node", repr(unknown)),)
+        terms[label] = terms.get(label, 0) + coeff
+    labels = sorted(label for label, coeff in terms.items() if coeff)
+    constant, rel = constraint.expr._constant, constraint.rel
+    if not labels:
+        return (rel.value, (), (constant.numerator, constant.denominator))
+    values = [terms[label] for label in labels] + [constant]
+    if any(type(value) is Fraction for value in values):
+        scale = lcm(*(value.denominator for value in values))
+        values = [int(value * scale) for value in values]
+    divisor = gcd(*values)
+    if values[0] < 0:
+        divisor, rel = -divisor, rel.flip()
+    if divisor != 1:
+        values = [value // divisor for value in values]
+    return (rel.value, tuple(zip(labels, values)), values[-1])
 
 
 class Inconsistent(Exception):
@@ -152,9 +152,11 @@ class ConstraintStore:
         self._register(node, sort)
         return node
 
-    def const(self, value: Fraction | int) -> Node:
+    def const(self, value: Rational) -> Node:
         """The (interned) node denoting a numeric constant."""
-        node = ConstNode(Fraction(value))
+        node = _CONST_NODES.get(value)
+        if node is None:
+            node = _CONST_NODES.setdefault(value, ConstNode(demote(Fraction(value))))
         if node not in self._parent:
             self._register(node, Sort.NUMERIC)
         return node
@@ -453,7 +455,7 @@ class ConstraintStore:
 
     def add_linear(self, expr: LinExpr, rel: Rel) -> None:
         """Add ``expr rel 0`` where unknowns are (possibly stale) nodes."""
-        mapping: dict[Node, Fraction] = {}
+        mapping: dict[Node, Rational] = {}
         constant = expr.constant
         for unknown, coeff in expr.coeffs.items():
             assert isinstance(unknown, Node)
@@ -461,7 +463,7 @@ class ConstraintStore:
             if isinstance(root, ConstNode):
                 constant += coeff * root.value
             else:
-                mapping[root] = mapping.get(root, Fraction(0)) + coeff
+                mapping[root] = mapping.get(root, 0) + coeff
         self.add_constraint(Constraint(LinExpr(mapping, constant), rel))
 
     def numeric_constraints(self) -> list[Constraint]:
@@ -756,7 +758,7 @@ class ConstraintStore:
                 renamed = constraint.rename(
                     {u: trans[u] for u in constraint.unknowns}
                 )
-                mapping: dict[Node, Fraction] = {}
+                mapping: dict[Node, Rational] = {}
                 constant = renamed.expr.constant
                 for unknown, coeff in renamed.expr.coeffs.items():
                     assert isinstance(unknown, Node)
@@ -764,7 +766,7 @@ class ConstraintStore:
                     if isinstance(root2, ConstNode):
                         constant += coeff * root2.value
                     else:
-                        mapping[root2] = mapping.get(root2, Fraction(0)) + coeff
+                        mapping[root2] = mapping.get(root2, 0) + coeff
                 self.add_constraint(
                     Constraint(LinExpr(mapping, constant), renamed.rel)
                 )
@@ -819,11 +821,10 @@ class ConstraintStore:
         The key is memoized on the store and invalidated by a dirty bit:
         every mutator resets ``_canon_cache`` to None, so a
         mutated-then-rekeyed store always recomputes (property-tested in
-        ``tests/test_perf.py``).  The expensive numeric part — renaming
-        each linear constraint onto its labels and canonicalizing — is
-        additionally memoized globally per (constraint, label assignment),
-        and the resulting key tuples are interned so equal keys are
-        identical objects.
+        ``tests/test_perf.py``).  Each linear constraint enters the key in
+        the integer canonical form of :func:`_constraint_key`, and the
+        resulting key tuples are interned so equal keys are identical
+        objects.
         """
         if self._canon_cache is not None:
             COUNTERS.store_key_hits += 1
@@ -860,12 +861,9 @@ class ConstraintStore:
                 if all(self.find(n) in label_of for n in pair)
             )
         )
-        numeric = []
-        for constraint in self._numeric:
-            numeric.append(_constraint_canon_repr(constraint, label_of))
-        key = _intern_key(
-            (classes, diseqs, tuple(sorted(set(numeric))))
-        )
+        # interned parts: one part recurs in the keys of many sibling stores
+        numeric = {_intern_key(_constraint_key(c, label_of)) for c in self._numeric}
+        key = _intern_key((classes, diseqs, tuple(sorted(numeric))))
         self._canon_cache = key
         return key
 

@@ -164,6 +164,106 @@ class TestFMProperties:
         assert any(system.holds(full) for system in systems)
 
 
+# ----------------------------------------------------------------------
+# stored form: int when integral, Fraction otherwise, never a float
+# ----------------------------------------------------------------------
+UNKNOWNS = ("x", "y", "z")
+RATIONALS = st.integers(min_value=-4, max_value=4) | st.fractions(
+    min_value=-4, max_value=4, max_denominator=4
+)
+NONZERO = RATIONALS.filter(bool)
+
+
+def _stored(value) -> bool:
+    return type(value) is int or (
+        type(value) is Fraction and value.denominator != 1
+    )
+
+
+def _assert_stored(expr: LinExpr) -> None:
+    assert _stored(expr.constant), expr.constant
+    for coeff in expr.coeffs.values():
+        assert _stored(coeff), coeff
+
+
+@st.composite
+def rational_exprs(draw):
+    coeffs = {u: draw(RATIONALS) for u in draw(st.sets(st.sampled_from(UNKNOWNS)))}
+    return LinExpr(coeffs, draw(RATIONALS))
+
+
+@st.composite
+def rational_constraints(draw):
+    return Constraint(draw(rational_exprs()), draw(st.sampled_from(Rel)))
+
+
+class TestStoredForm:
+    """Coefficients, constants and sampled values are ``int`` when
+    integral and ``Fraction`` otherwise — never a float."""
+
+    @given(
+        rational_exprs(),
+        rational_exprs(),
+        NONZERO,
+        st.sampled_from(UNKNOWNS),
+        st.sampled_from(UNKNOWNS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_algebra_keeps_stored_form(self, a, b, scalar, u, v):
+        for result in (
+            a + b,
+            a - b,
+            -a,
+            a + scalar,
+            scalar - a,
+            a * scalar,
+            scalar * a,
+            a / scalar,
+            a.substitute({u: b}),
+            a.substitute({u: scalar}),
+            a.rename({u: v}),
+        ):
+            _assert_stored(result)
+        assert _stored(a.evaluate({w: scalar for w in UNKNOWNS}))
+
+    @given(st.lists(rational_constraints(), max_size=4), st.sampled_from(UNKNOWNS))
+    @settings(max_examples=150, deadline=None)
+    def test_fm_keeps_stored_form(self, constraints, unknown):
+        for system in eliminate(constraints, [unknown]):
+            for constraint in system:
+                _assert_stored(constraint.expr)
+        solution = sample_solution(constraints)
+        if solution is not None:
+            assert all(_stored(value) for value in solution.values())
+            assert all(c.holds(solution) for c in constraints if c.unknowns)
+
+    @given(
+        st.dictionaries(
+            st.sampled_from(UNKNOWNS), st.integers(min_value=-9, max_value=9)
+        ),
+        st.integers(min_value=-9, max_value=9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_int_and_fraction_inputs_hash_equal(self, coeffs, constant):
+        as_int = LinExpr(coeffs, constant)
+        as_fraction = LinExpr(
+            {u: Fraction(c) for u, c in coeffs.items()}, Fraction(constant)
+        )
+        as_float = LinExpr({u: float(c) for u, c in coeffs.items()}, float(constant))
+        halved_twice = (as_int / 2) * Fraction(2)
+        for other in (as_fraction, as_float, halved_twice):
+            _assert_stored(other)
+            assert other == as_int and hash(other) == hash(as_int)
+            assert hash(Constraint(other, Rel.LE)) == hash(Constraint(as_int, Rel.LE))
+
+    def test_sample_solution_int_division_regression(self):
+        """``x + y = 0 ∧ 3x + 1 = 0``: back-substitution divides int
+        bounds by int coefficients, which must not produce floats."""
+        solution = sample_solution([eq(x + y, 0), eq(3 * x + 1, 0)])
+        assert solution == {"x": Fraction(-1, 3), "y": Fraction(1, 3)}
+        assert all(type(value) is Fraction for value in solution.values())
+
+
 class TestCells:
     def test_three_lines_thirteen_cells(self):
         assert count_cells([x, y, x - y]) == 13

@@ -553,6 +553,31 @@ class TestHistoryLedger:
         with pytest.raises(ValueError, match=f"{LEDGER_NAME}:1"):
             load_history(ledger_dir)  # line 1: no schema_version
 
+    def test_retired_counter_record_loads(self, tmp_path):
+        """Ledger records written before ``constraint_canon_*`` left
+        ``COUNTERS`` still load and trend; the retired cache just has no
+        rate row."""
+        counters = {
+            "constraint_canon_hits": 96,
+            "constraint_canon_misses": 4,
+            "store_key_hits": 50,
+            "store_key_misses": 50,
+        }
+        ledger_dir = tmp_path / "ledger"
+        ledger_dir.mkdir()
+        (ledger_dir / LEDGER_NAME).write_text(
+            "".join(
+                json.dumps(_ledger_record(1.0, 5, counters=counters)) + "\n"
+                for _ in range(2)
+            )
+        )
+        records = load_history(ledger_dir)
+        assert len(records) == 2
+        analysis = trends(records)
+        assert [entry["cache"] for entry in analysis["rates"]] == ["store_key"]
+        assert analysis["flags"] == []
+        assert "constraint_canon" not in render_trends(records)
+
     def test_no_drift_on_stable_ledger(self):
         records = [_ledger_record(1.0, 100) for _ in range(3)]
         analysis = trends(records)

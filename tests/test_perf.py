@@ -425,6 +425,32 @@ class TestBenchHarness:
             record = load_record(path)
             assert record["family"] in family_names()
 
+    def test_compare_loads_retired_counter(self, tmp_path, capsys):
+        """The tracked baselines still carry ``constraint_canon_*``, a
+        counter retired from ``COUNTERS`` with the per-constraint string
+        memo; ``bench --compare`` loads and compares them unchanged."""
+        from pathlib import Path
+
+        from repro.service.cli import main
+
+        retired = {"constraint_canon_hits", "constraint_canon_misses"}
+        assert not retired & set(COUNTERS.snapshot())
+        baseline_dir = Path(__file__).resolve().parent.parent / (
+            "benchmarks/baselines"
+        )
+        baseline = baseline_dir / "BENCH_table1.json"
+        counters = load_record(baseline)["counters"]
+        assert retired <= set(counters)
+        assert "constraint_canon" not in PerfCounters.rates(counters)
+        current_dir = tmp_path / "records"
+        current_dir.mkdir()
+        (current_dir / baseline.name).write_text(baseline.read_text())
+        code = main(
+            ["bench", "--compare", str(baseline_dir), "--out", str(current_dir)]
+        )
+        assert code == 0
+        assert "table1" in capsys.readouterr().out
+
 
 class TestBenchCLI:
     def test_record_then_compare_exit_codes(self, tmp_path, capsys):

@@ -4,17 +4,22 @@
 step) and ``absorb`` implements child-I/O fact transfer; together they are
 the data-flow backbone of the verifier.  These tests check, over random
 assertion sequences, that projection never *loses* facts about kept
-variables and never *invents* facts about dropped ones.
+variables and never *invents* facts about dropped ones.  The last class
+checks that the integer canonical form of a constraint inside
+``canonical_key`` partitions constraints exactly as the repr-based
+canonical strings it replaced.
 """
 
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
 
-from repro.arith.constraints import Rel
+from hypothesis import assume, given, settings, strategies as st
+
+from repro.arith.constraints import Constraint, Rel
 from repro.arith.linexpr import LinExpr
 from repro.database.schema import DatabaseSchema, Relation, foreign_key, numeric
 from repro.logic.terms import id_var, num_var
-from repro.symbolic.nodes import Sort
-from repro.symbolic.store import ConstraintStore, Inconsistent
+from repro.symbolic.nodes import Sort, ValueNode
+from repro.symbolic.store import ConstraintStore, Inconsistent, _constraint_key
 
 SCHEMA = DatabaseSchema(
     (
@@ -183,3 +188,95 @@ class TestAbsorbRoundTrip:
         once = store.restrict(keep)
         twice = once.restrict(keep)
         assert once.canonical_key() == twice.canonical_key()
+
+
+# ----------------------------------------------------------------------
+# integer canonical form ≡ repr-based canonical strings
+# ----------------------------------------------------------------------
+UNKNOWNS = [ValueNode(serial, Sort.NUMERIC) for serial in (1, 2, 3)]
+LABELS = [
+    (("var", "a"),),
+    (("var", "b"),),
+    (("var", "a"), ("nav", "price")),
+    (("pin", "child", "in"),),
+]
+RATIONALS = st.integers(min_value=-3, max_value=3) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=4
+)
+SCALES = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+
+
+def _oracle(constraint: Constraint, label_of) -> str:
+    """The per-constraint canonical string ``canonical_key`` used before
+    the integer form (kept here as the test oracle)."""
+    return repr(constraint.rename(label_of).canonical())
+
+
+@st.composite
+def constraints(draw):
+    coeffs = {u: draw(RATIONALS) for u in draw(st.sets(st.sampled_from(UNKNOWNS)))}
+    return Constraint(LinExpr(coeffs, draw(RATIONALS)), draw(st.sampled_from(Rel)))
+
+
+@st.composite
+def label_maps(draw):
+    """Each unknown gets a label, shares one with another unknown (its
+    coefficients merge), or stays unlabeled (a node no path reaches)."""
+    mapping = {}
+    for unknown in UNKNOWNS:
+        label = draw(st.sampled_from(LABELS + [None]))
+        if label is not None:
+            mapping[unknown] = label
+    return mapping
+
+
+@st.composite
+def constraint_pairs(draw):
+    first, first_labels = draw(constraints()), draw(label_maps())
+    mode = draw(st.sampled_from(["independent", "scaled", "relabeled"]))
+    if mode == "independent":
+        return first, first_labels, draw(constraints()), draw(label_maps())
+    if mode == "relabeled":
+        return first, first_labels, first, draw(label_maps())
+    scale = draw(SCALES)
+    rel = first.rel if scale > 0 else first.rel.flip()
+    return first, first_labels, Constraint(first.expr * scale, rel), first_labels
+
+
+class TestIntegerCanonicalForm:
+    @given(constraint_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_partition_matches_repr_oracle(self, pair):
+        first, first_labels, second, second_labels = pair
+        same_key = _constraint_key(first, first_labels) == _constraint_key(
+            second, second_labels
+        )
+        same_oracle = _oracle(first, first_labels) == _oracle(second, second_labels)
+        assert same_key == same_oracle
+
+    @given(constraints(), label_maps(), SCALES)
+    @settings(max_examples=200, deadline=None)
+    def test_scaling_keeps_the_key(self, constraint, labels, scale):
+        # a constraint without unknowns is not scaled (nor was its string)
+        assume(not constraint.rename(labels).expr.is_constant)
+        rel = constraint.rel if scale > 0 else constraint.rel.flip()
+        scaled = Constraint(constraint.expr * scale, rel)
+        assert _constraint_key(scaled, labels) == _constraint_key(constraint, labels)
+
+    @given(constraints(), label_maps())
+    @settings(max_examples=200, deadline=None)
+    def test_parts_are_integers(self, constraint, labels):
+        rel, terms, constant = _constraint_key(constraint, labels)
+        assert isinstance(rel, str)
+        if not terms:  # no unknowns: the constant as (numerator, denominator)
+            constant = constant[0]
+        for value in [coeff for _label, coeff in terms] + [constant]:
+            assert type(value) is int
+
+    def test_fractional_coefficients_key_equal(self):
+        x = UNKNOWNS[0]
+        labels = {x: LABELS[0]}
+        half = Constraint(LinExpr({x: Fraction(1, 2)}, -1), Rel.LE)
+        whole = Constraint(LinExpr({x: 1}, -2), Rel.LE)
+        assert _constraint_key(half, labels) == _constraint_key(whole, labels)
+        assert _constraint_key(whole, labels) == ("<=", ((LABELS[0], 1),), -2)

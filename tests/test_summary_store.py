@@ -21,13 +21,14 @@ import pytest
 
 from repro.errors import BudgetExceeded
 from repro.fuzz.gen import GenConfig, generate_scenario, grow_scenarios
+from repro.perf.counters import COUNTERS
 from repro.service.cache import SummaryStore
 from repro.service.jobs import (
     STATUS_BUDGET_EXCEEDED,
     VerificationJob,
 )
 from repro.service.pool import execute_job
-from repro.service.summaries import decode_record
+from repro.service.summaries import SUMMARY_SCHEMA_VERSION, decode_record
 from repro.verifier import Verifier, VerifierConfig
 
 CONFIG = VerifierConfig(km_budget=60_000, time_limit_seconds=60.0)
@@ -124,6 +125,28 @@ class TestCodec:
         for record in store._memory.values():
             wire = json.loads(json.dumps(record, sort_keys=True))
             assert decode_record(wire, sc.has.database) is not None
+
+    def test_v1_record_is_a_clean_miss(self, tmp_path):
+        """Records written under schema v1 (string numeric key parts, before
+        the integer canonical form) read as a miss: ``decode_record`` gives
+        None and the lookup counts one ``summary_store_misses``."""
+        sc = _scenario(6, 0)
+        Verifier(sc.has, CONFIG, summary_store=SummaryStore(tmp_path)).verify(sc.prop)
+        files = sorted(tmp_path.glob("*/*.json"))
+        assert files
+        for path in files:
+            record = json.loads(path.read_text())
+            assert record["v"] == SUMMARY_SCHEMA_VERSION == 2
+            root_key, _entries = decode_record(record, sc.has.database)
+            record["v"] = 1
+            assert decode_record(record, sc.has.database) is None
+            path.write_text(json.dumps(record))
+        store = SummaryStore(tmp_path)
+        verifier = Verifier(sc.has, CONFIG, summary_store=store)
+        assert verifier._persistent_key(root_key) in store
+        before = COUNTERS.summary_store_misses
+        assert verifier._load_persisted_summary(root_key) is None
+        assert COUNTERS.summary_store_misses == before + 1
 
     @pytest.mark.parametrize(
         "tamper",
