@@ -10,10 +10,10 @@ and ``>``, so satisfiability and projection both work on small disjunctions
 of conjunctive systems — except in :func:`is_satisfiable`, which avoids
 the exponential split by a convexity argument (see its docstring).
 
-This module hosts two of the verifier's hot-path caches (documented in
-docs/performance.md): satisfiability verdicts are memoized per connected
-component, and whole projections are memoized on the constraint-system
-fingerprint.  Both memoize pure functions of immutable constraints, so
+This module hosts the verifier's FM hot-path caches (documented in
+docs/performance.md): satisfiability verdicts are memoized per whole
+system and per connected component, and whole projections are memoized
+on the constraint-system fingerprint.  Both memoize pure functions of immutable constraints, so
 cache hits are observationally identical to recomputation
 (property-tested in tests/test_perf.py against the ``_uncached``
 entry points kept public for exactly that purpose).
@@ -218,6 +218,13 @@ def project(
 _SAT_CACHE: dict[frozenset, bool] = {}
 _SAT_CACHE_LIMIT = 400_000
 
+#: Whole-system verdicts: the exact constraint tuple of a query to its
+#: ``(verdict, features)``.  Most queries repeat a recent one verbatim,
+#: so a small table in front of normalization and component splitting
+#: serves them; the per-component memo behind it keeps misses cheap.
+_SYSTEM_SAT_CACHE: dict[tuple, tuple[bool, tuple[str, ...]]] = {}
+_SYSTEM_SAT_CACHE_LIMIT = 128
+
 
 def is_satisfiable(constraints: Iterable[Constraint]) -> bool:
     """Decide satisfiability over the rationals (equivalently the reals).
@@ -235,32 +242,53 @@ def is_satisfiable(constraints: Iterable[Constraint]) -> bool:
     verdicts are memoized, so extending a system with constraints over
     fresh unknowns — the common store mutation — re-decides only the cell
     that actually changed and serves every untouched cell from the cache.
+
+    Whole queries are memoized too, with the coverage features the
+    decision fires; a hit fires them again, so a scenario's feature set
+    does not depend on what the process-global memo saw before it.
     """
-    material = _normalize(list(constraints))
+    key = tuple(constraints)
+    cached = _SYSTEM_SAT_CACHE.get(key)
+    if cached is None:
+        cached = _decide_system(key)
+        if len(_SYSTEM_SAT_CACHE) >= _SYSTEM_SAT_CACHE_LIMIT:
+            _SYSTEM_SAT_CACHE.clear()
+        _SYSTEM_SAT_CACHE[key] = cached
+    verdict, features = cached
+    for feature in features:
+        COVERAGE.hit(feature)
+    return verdict
+
+
+def _decide_system(
+    constraints: tuple[Constraint, ...],
+) -> tuple[bool, tuple[str, ...]]:
+    """The verdict on a system and the sorted coverage features deciding
+    it fires: ``fm:diseq_split`` for a component with a disequality, and
+    ``fm:sat``/``fm:unsat`` per component up to the first unsatisfiable
+    one.  A pure function of the query."""
+    material = _normalize(constraints)
     if material is None:
-        return False
+        return False, ()
+    features: set[str] = set()
+    verdict = True
     for component in _connected_components(material):
+        if any(c.rel is Rel.NE for c in component):
+            features.add("fm:diseq_split")
         if not _component_satisfiable(component):
-            return False
-    return True
+            features.add("fm:unsat")
+            verdict = False
+            break
+        features.add("fm:sat")
+    return verdict, tuple(sorted(features))
 
 
 def _component_satisfiable(component: list[Constraint]) -> bool:
     """Memoized satisfiability of one normalized connected component."""
-    if any(c.rel is Rel.NE for c in component):
-        # disequalities demand convexity splitting; recorded before the
-        # memo lookup (it is a property of the component, not of what
-        # the process-global cache has seen) so a scenario's feature
-        # set stays deterministic
-        COVERAGE.hit("fm:diseq_split")
     key = frozenset(component)
     cached = _SAT_CACHE.get(key)
     if cached is not None:
         COUNTERS.fm_sat_hits += 1
-        # coverage is recorded on hits too: the outcome is known either
-        # way, and a scenario's feature set must not depend on what the
-        # process-global cache saw before it
-        COVERAGE.hit("fm:sat" if cached else "fm:unsat")
         return cached
     COUNTERS.fm_sat_misses += 1
     # only misses do real work, so only misses are timed (sampled)
@@ -269,7 +297,6 @@ def _component_satisfiable(component: list[Constraint]) -> bool:
         result = _is_satisfiable_uncached(component)
     finally:
         PHASES.end("fm", token)
-    COVERAGE.hit("fm:sat" if result else "fm:unsat")
     if len(_SAT_CACHE) >= _SAT_CACHE_LIMIT:
         _SAT_CACHE.clear()
     _SAT_CACHE[key] = result
@@ -454,6 +481,7 @@ def _connected_components(
 
 def clear_caches() -> None:
     """Drop the satisfiability and projection memos (tests, benchmarks)."""
+    _SYSTEM_SAT_CACHE.clear()
     _SAT_CACHE.clear()
     _PROJ_CACHE.clear()
 

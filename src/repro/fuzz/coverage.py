@@ -129,7 +129,13 @@ class _Unit:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._registry._units.remove(self._fired)
+        # by identity: ``list.remove`` matches by equality, and a nested
+        # unit's set can equal this one's
+        units = self._registry._units
+        for index in range(len(units) - 1, -1, -1):
+            if units[index] is self._fired:
+                del units[index]
+                return
 
 
 class CoverageRegistry:

@@ -72,6 +72,28 @@ def pull_exists(condition: Condition) -> tuple[tuple[Variable, ...], Condition]:
     return (), condition
 
 
+#: Compiled form of each applied condition: ``(bound, body)``, where
+#: ``body`` is the ∃-free matrix when ``bound`` is non-empty and its NNF
+#: otherwise.  Conditions hash by structure, and a verification applies
+#: a handful of them thousands of times.  Bounded (cleared when full);
+#: :func:`repro.symbolic.store.clear_canonical_caches` drops it.
+_COMPILED: dict[Condition, tuple[tuple[Variable, ...], Condition]] = {}
+_COMPILED_LIMIT = 1_024
+
+
+def _compiled(condition: Condition) -> tuple[tuple[Variable, ...], Condition]:
+    compiled = _COMPILED.get(condition)
+    if compiled is None:
+        from repro.logic.conditions import eliminate_single_atom_exists, nnf_condition
+
+        bound, matrix = pull_exists(eliminate_single_atom_exists(condition))
+        compiled = (bound, matrix) if bound else ((), nnf_condition(matrix))
+        if len(_COMPILED) >= _COMPILED_LIMIT:
+            _COMPILED.clear()
+        _COMPILED[condition] = compiled
+    return compiled
+
+
 def apply_condition(
     store: ConstraintStore, condition: Condition
 ) -> Iterator[ConstraintStore]:
@@ -82,10 +104,7 @@ def apply_condition(
     atoms of the matrix constrain to database rows — the symbolic analogue
     of the paper's "simulate ∃FO by adding variables".
     """
-    from repro.logic.conditions import eliminate_single_atom_exists, nnf_condition
-
-    condition = eliminate_single_atom_exists(condition)
-    bound, matrix = pull_exists(condition)
+    bound, body = _compiled(condition)
     if bound:
         scratch = store.copy()
         saved = {
@@ -93,7 +112,7 @@ def apply_condition(
         }
         for variable in bound:
             scratch.rebind_fresh(variable)
-        for refined in apply_condition(scratch, matrix):
+        for refined in apply_condition(scratch, body):
             for variable, old in saved.items():
                 if old is None:
                     refined._binding.pop(variable, None)
@@ -102,8 +121,14 @@ def apply_condition(
             refined._canon_cache = None
             yield refined
         return
+    branches = _apply_nnf(store.copy(), body)
+    if len(branches) == 1:
+        # nothing to dedup against: skip the canonical key
+        if branches[0].is_consistent():
+            yield branches[0]
+        return
     seen_keys: set = set()
-    for branch in _apply_nnf(store.copy(), nnf_condition(matrix)):
+    for branch in branches:
         if branch.is_consistent():
             key = branch.canonical_key()
             if key not in seen_keys:

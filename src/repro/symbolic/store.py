@@ -77,8 +77,12 @@ def _intern_key(value: tuple) -> tuple:
 
 
 def clear_canonical_caches() -> None:
-    """Drop the canonical-key memos (tests, benchmarks)."""
+    """Drop the canonical-key memos and the compiled-condition memo of
+    :mod:`repro.symbolic.apply` (tests, benchmarks)."""
+    from repro.symbolic import apply
+
     _KEY_INTERN.clear()
+    apply._COMPILED.clear()
 
 
 def _constraint_key(constraint: Constraint, label_of: Mapping) -> tuple:
@@ -146,7 +150,6 @@ class ConstraintStore:
         """A brand-new anonymous value node of the given sort — the
         symbolic analogue of picking an unconstrained element of the ID
         domain (Def. 14's infinite domains) or of ℝ."""
-        self._canon_cache = None
         self._serial += 1
         node = ValueNode(self._serial, sort)
         self._register(node, sort)
@@ -162,6 +165,7 @@ class ConstraintStore:
         return node
 
     def _register(self, node: Node, sort: Sort) -> None:
+        self._canon_cache = None
         self._parent[node] = node
         self._rank[node] = 0
         self._null[node] = None if sort is Sort.ID else False

@@ -331,16 +331,10 @@ class TaskVASS:
         yield from branches
 
     def _buchi_step(
-        self,
-        state: SymState,
-        store: ConstraintStore,
-        service: ServiceRef,
-        open_beta: Mapping | None = None,
+        self, state: SymState, store: ConstraintStore, service: ServiceRef
     ) -> Iterator[tuple[ConstraintStore, object]]:
         for transition in self.automaton.successors(state.q):
-            for refined in self._match_letter(
-                state, store, service, transition, open_beta
-            ):
+            for refined in self._match_letter(state, store, service, transition, None):
                 yield refined, transition.target
 
     # ------------------------------------------------------------------
@@ -477,6 +471,16 @@ class TaskVASS:
                 input_store, input_key = self.engine.make_child_input(
                     pre_store, child
                 )
+                # the pins and the letter's condition refinements depend on
+                # neither β nor the outcome: one pinned store and one set
+                # of letter matches serve every guess for this pre-store
+                pinned = pre_store.copy()
+                for child_var, parent_var in child.opening.input_map.items():
+                    pinned.pin(
+                        ("child", child.name, child_var.name),
+                        pinned.node_of(parent_var),
+                    )
+                matches: dict[tuple, list[ConstraintStore]] = {}
                 for beta in self.engine.compiled.betas(child.name):
                     summary = self.engine.summary(child.name, input_store, beta)
                     # the summary may have recursively explored the child
@@ -489,12 +493,6 @@ class TaskVASS:
                     if summary.nonreturning:
                         outcomes.append(BOT)
                     for outcome in outcomes:
-                        pinned = pre_store.copy()
-                        for child_var, parent_var in child.opening.input_map.items():
-                            pinned.pin(
-                                ("child", child.name, child_var.name),
-                                pinned.node_of(parent_var),
-                            )
                         status = (
                             "active",
                             frozenset(beta.items()),
@@ -502,8 +500,8 @@ class TaskVASS:
                             input_key,
                         )
                         o_bar = state.with_status(child.name, status)
-                        for refined, q in self._buchi_step(
-                            state, pinned, ref, open_beta=beta
+                        for refined, q in self._opening_step(
+                            state, pinned, ref, beta, matches
                         ):
                             successor = SymState(
                                 store=refined,
@@ -514,6 +512,32 @@ class TaskVASS:
                             )
                             detail = "⊥" if outcome == BOT else "returns"
                             yield {}, successor, StepTag(self.task.name, ref, detail)
+
+    def _opening_step(
+        self,
+        state: SymState,
+        pinned: ConstraintStore,
+        ref: ServiceRef,
+        beta: Mapping,
+        matches: dict[tuple, list[ConstraintStore]],
+    ) -> Iterator[tuple[ConstraintStore, object]]:
+        """:meth:`_buchi_step` for opening ``ref.task`` from ``pinned``,
+        with the letter matches memoized in ``matches``.  A match reads β
+        only through the transition's child propositions about the
+        opened task, so it is keyed by the transition and those values."""
+        for index, transition in enumerate(self.automaton.successors(state.q)):
+            key = (index,) + tuple(
+                bool(beta.get(payload.spec, False))
+                for payload, _required in transition.literals
+                if isinstance(payload, ChildProp) and payload.task == ref.task
+            )
+            branches = matches.get(key)
+            if branches is None:
+                branches = matches[key] = list(
+                    self._match_letter(state, pinned, ref, transition, beta)
+                )
+            for refined in branches:
+                yield refined, transition.target
 
     # ------------------------------------------------------------------
     # closing a child

@@ -65,6 +65,25 @@ class TestRegistry:
         reg.hit("after")
         assert "after" not in outer.features()
 
+    def test_nested_units_with_equal_sets_detach_by_identity(self):
+        """An inner unit whose fired set equals the outer's at its exit
+        detaches itself, not the outer unit."""
+        reg = CoverageRegistry()
+        with reg.unit() as outer:
+            with reg.unit() as inner:
+                pass
+            reg.hit("x")
+        assert outer.features() == ("x",)
+        assert inner.features() == ()
+        with reg.unit() as outer:
+            reg.hit("a")
+            with reg.unit() as inner:
+                reg.hit("a")
+            reg.hit("b")
+        assert outer.features() == ("a", "b")
+        assert inner.features() == ("a",)
+        assert reg._units == []
+
     def test_disabled_hits_are_dropped(self):
         reg = CoverageRegistry()
         reg.enabled = False

@@ -20,16 +20,31 @@ uncached code.  These tests pin that down —
   content-addressed job keys are stable across versions.
 """
 
+import itertools
 import json
+import types
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.arith import fm
-from repro.arith.constraints import Constraint, Rel
-from repro.arith.linexpr import LinExpr, var
+from repro.arith.constraints import Constraint, Rel, compare
+from repro.arith.linexpr import LinExpr, const as linconst, var
 from repro.database.fkgraph import SchemaClass
 from repro.database.schema import DatabaseSchema, Relation, foreign_key, numeric
-from repro.logic.terms import id_var, num_var
+from repro.dsl import directory_jobs
+from repro.logic.conditions import (
+    And,
+    ArithAtom,
+    Eq,
+    Exists,
+    Not,
+    Or,
+    RelationAtom,
+    eliminate_single_atom_exists,
+    nnf_condition,
+)
+from repro.logic.terms import NULL as NULL_TERM, Const, id_var, num_var
 from repro.perf.bench import (
     compare_records,
     compare_directories,
@@ -38,13 +53,20 @@ from repro.perf.bench import (
     record_families,
     run_family,
 )
+from repro.fuzz.coverage import COVERAGE
 from repro.perf.counters import COUNTERS, PerfCounters
 from repro.service.serialize import from_dict, to_dict
+from repro.runtime import labels
+from repro.service.suites import gallery_dir
+from repro.symbolic import apply as apply_module
+from repro.symbolic.apply import _apply_nnf, apply_condition, pull_exists
 from repro.symbolic.store import ConstraintStore, Inconsistent, clear_canonical_caches
 from repro.verifier import Verifier, VerifierConfig
+from repro.verifier.task_vass import BOT, INIT, StepTag, SymState, TaskVASS
 from repro.workloads import table1_workload
+from repro.workloads.families import families_dir
 
-from tests.test_store_properties import SCHEMA, apply_ops, op_sequences
+from tests.test_store_properties import IDS, NUMS, SCHEMA, apply_ops, op_sequences
 
 # ----------------------------------------------------------------------
 # canonical-key staleness
@@ -106,6 +128,7 @@ class TestCanonicalKeyFreshness:
             lambda s: s.bind(v, s.node_of(u)),
             lambda s: s.pin(("p",), s.node_of(u)),
             lambda s: s.unpin_prefix(("p",)),
+            lambda s: s.const(7),
         ]
         previous = store.canonical_key()
         seen = {previous}
@@ -179,6 +202,51 @@ class TestFMCaches:
             fm.sample_solution(constraints) is not None
         )
 
+    @given(constraint_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_system_memo_equals_uncached_and_replays_features(self, constraints):
+        """A whole-system memo hit returns the uncached verdict and fires
+        the features a cold decision fires — also when the memo was
+        filled while the coverage registry was disabled."""
+        normalized = fm._normalize(list(constraints))
+        expected = (
+            False if normalized is None else fm._is_satisfiable_uncached(normalized)
+        )
+        expected_features = set()
+        for component in fm._connected_components(normalized or []):
+            if any(c.rel is Rel.NE for c in component):
+                expected_features.add("fm:diseq_split")
+            if not fm._is_satisfiable_uncached(component):
+                expected_features.add("fm:unsat")
+                break
+            expected_features.add("fm:sat")
+        fm.clear_caches()
+        with COVERAGE.unit() as cold:
+            assert fm.is_satisfiable(constraints) == expected
+        assert cold.features() == tuple(sorted(expected_features))
+        before = COUNTERS.snapshot()
+        with COVERAGE.unit() as warm:
+            assert fm.is_satisfiable(constraints) == expected
+        assert warm.features() == cold.features()
+        delta = COUNTERS.since(before)
+        assert delta["fm_sat_hits"] == delta["fm_sat_misses"] == 0  # system hit
+        fm.clear_caches()
+        COVERAGE.enabled = False
+        try:
+            assert fm.is_satisfiable(constraints) == expected
+        finally:
+            COVERAGE.enabled = True
+        with COVERAGE.unit() as replayed:
+            assert fm.is_satisfiable(constraints) == expected
+        assert replayed.features() == cold.features()
+
+    def test_system_memo_is_bounded(self):
+        fm.clear_caches()
+        x = var("x")
+        for k in range(fm._SYSTEM_SAT_CACHE_LIMIT + 10):
+            fm.is_satisfiable([Constraint(x - k, Rel.LE)])
+        assert 0 < len(fm._SYSTEM_SAT_CACHE) <= fm._SYSTEM_SAT_CACHE_LIMIT
+
     def test_projection_cache_counts_hits(self):
         fm.clear_caches()
         x = var("x")
@@ -189,6 +257,196 @@ class TestFMCaches:
         delta = COUNTERS.since(before)
         assert delta["fm_proj_misses"] == 1
         assert delta["fm_proj_hits"] == 1
+
+
+# ----------------------------------------------------------------------
+# successor-path memos: compiled conditions, opening reuse
+# ----------------------------------------------------------------------
+
+C = id_var("c")
+
+
+def _atoms():
+    ids = st.sampled_from(IDS)
+    nums = st.sampled_from(NUMS)
+    small = st.integers(min_value=-3, max_value=3)
+    return st.one_of(
+        st.builds(Eq, ids, ids),
+        st.builds(lambda u: Eq(u, NULL_TERM), ids),
+        st.builds(lambda u, n, v: RelationAtom("F", (u, n, v)), ids, nums, ids),
+        st.builds(lambda u, n: RelationAtom("H", (u, n)), ids, nums),
+        st.builds(
+            lambda n, rel, k: ArithAtom(compare(var(n), rel, linconst(k))),
+            nums,
+            st.sampled_from([Rel.LE, Rel.LT, Rel.EQ, Rel.NE]),
+            small,
+        ),
+        st.builds(lambda n, k: Eq(n, Const.of(k)), nums, small),
+    )
+
+
+@st.composite
+def conditions(draw):
+    """Random conditions over the test schema; optionally under a
+    positive ∃ whose variable anchors a row (so it is not eliminated)."""
+    body = draw(
+        st.recursive(
+            _atoms(),
+            lambda inner: st.one_of(
+                st.builds(Not, inner),
+                st.builds(lambda a, b: And(a, b), inner, inner),
+                st.builds(lambda a, b: Or(a, b), inner, inner),
+            ),
+            max_leaves=4,
+        )
+    )
+    if draw(st.booleans()):
+        witness = RelationAtom("F", (C, draw(st.sampled_from(NUMS)), draw(st.sampled_from(IDS))))
+        body = Exists((C,), And(witness, body))
+    return body
+
+
+def _apply_condition_oracle(store, condition):
+    """``apply_condition`` as it was before compile-once conditions and
+    the single-branch dedup skip: re-derives the NNF on every call and
+    keys every branch."""
+    condition = eliminate_single_atom_exists(condition)
+    bound, matrix = pull_exists(condition)
+    if bound:
+        scratch = store.copy()
+        saved = {variable: scratch._binding.get(variable) for variable in bound}
+        for variable in bound:
+            scratch.rebind_fresh(variable)
+        for refined in _apply_condition_oracle(scratch, matrix):
+            for variable, old in saved.items():
+                if old is None:
+                    refined._binding.pop(variable, None)
+                else:
+                    refined._binding[variable] = old
+            refined._canon_cache = None
+            yield refined
+        return
+    seen_keys: set = set()
+    for branch in _apply_nnf(store.copy(), nnf_condition(matrix)):
+        if branch.is_consistent():
+            key = branch.canonical_key()
+            if key not in seen_keys:
+                seen_keys.add(key)
+                yield branch
+
+
+def _per_guess_opening(vass, state):
+    """``TaskVASS._opening_transitions`` as it was before opening reuse:
+    a fresh pinned copy and a fresh Büchi step per (β, outcome) guess.
+    Records the largest number of guesses one pre-store had."""
+    for child in vass.task.children:
+        if state.status_of(child.name) != INIT:
+            continue
+        ref = labels.opening(child.name)
+        for pre_store in itertools.islice(
+            apply_condition(state.store, child.opening.pre),
+            vass.config.max_condition_branches,
+        ):
+            input_store, input_key = vass.engine.make_child_input(pre_store, child)
+            guesses = 0
+            for beta in vass.engine.compiled.betas(child.name):
+                summary = vass.engine.summary(child.name, input_store, beta)
+                outcomes = [("out", k) for k in sorted(summary.outputs, key=repr)]
+                if summary.nonreturning:
+                    outcomes.append(BOT)
+                for outcome in outcomes:
+                    guesses += 1
+                    pinned = pre_store.copy()
+                    for child_var, parent_var in child.opening.input_map.items():
+                        pinned.pin(
+                            ("child", child.name, child_var.name),
+                            pinned.node_of(parent_var),
+                        )
+                    status = ("active", frozenset(beta.items()), outcome, input_key)
+                    o_bar = state.with_status(child.name, status)
+                    for transition in vass.automaton.successors(state.q):
+                        for refined in vass._match_letter(
+                            state, pinned, ref, transition, beta
+                        ):
+                            successor = SymState(
+                                store=refined,
+                                q=transition.target,
+                                o_bar=o_bar,
+                                ib=state.ib,
+                                service=ref,
+                            )
+                            detail = "⊥" if outcome == BOT else "returns"
+                            yield {}, successor, StepTag(vass.task.name, ref, detail)
+            _GUESSES.append(guesses)
+
+
+_GUESSES: list[int] = []
+
+
+class TestSuccessorPathParity:
+    @given(op_sequences(), conditions())
+    @example(  # one branch, arithmetically inconsistent: nothing to yield
+        [("num_le", IDS[0], IDS[0], NUMS[0], -3, "F")],
+        Not(ArithAtom(compare(var(NUMS[0]), Rel.LE, linconst(2)))),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_apply_condition_equals_per_call_compilation(self, ops, condition):
+        store = ConstraintStore(SCHEMA)
+        if not apply_ops(store, ops):
+            return
+        before = store.canonical_key()
+        expected = [b.canonical_key() for b in _apply_condition_oracle(store, condition)]
+        clear_canonical_caches()
+        cold = [b.canonical_key() for b in apply_condition(store, condition)]
+        warm = [b.canonical_key() for b in apply_condition(store, condition)]
+        assert cold == warm == expected
+        fresh = store.copy()
+        fresh._canon_cache = None
+        assert fresh.canonical_key() == before  # the input is not consumed
+
+    @pytest.mark.parametrize(
+        "name",
+        ["order_fulfillment_n2::order_row_rederived", "procurement_chain::signatures_are_leveled"],
+    )
+    def test_opening_reuse_equals_per_guess_loop(self, name, monkeypatch):
+        job = _GALLERY_JOBS[name]
+        real = TaskVASS.successor_states
+        compared = []
+
+        def checked(self, state, vector):
+            got = list(real(self, state, vector))
+            self._opening_transitions = types.MethodType(_per_guess_opening, self)
+            try:
+                want = list(real(self, state, vector))
+            finally:
+                del self._opening_transitions
+            assert [(d, s.key, t) for d, s, t in got] == [
+                (d, s.key, t) for d, s, t in want
+            ]
+            compared.append(len(got))
+            yield from got
+
+        _GUESSES.clear()
+        monkeypatch.setattr(TaskVASS, "successor_states", checked)
+        result = Verifier(job.has, job.config).verify(job.prop)
+        assert ("holds" if result.holds else "violated") == job.expected_status
+        assert compared and max(_GUESSES) >= 2
+
+    def test_clear_hooks_drop_the_new_memos(self):
+        store = ConstraintStore(SCHEMA)
+        list(apply_condition(store, Eq(IDS[0], IDS[1])))
+        fm.is_satisfiable([Constraint(var("x") - 1, Rel.LE)])
+        assert apply_module._COMPILED and fm._SYSTEM_SAT_CACHE
+        fm.clear_caches()
+        clear_canonical_caches()
+        assert not apply_module._COMPILED and not fm._SYSTEM_SAT_CACHE
+
+
+_GALLERY_JOBS = {
+    job.name: job
+    for job in directory_jobs(gallery_dir()) + directory_jobs(families_dir())
+    if "fuzzed" not in job.name
+}
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ def op_sequences(draw):
     for _ in range(draw(st.integers(min_value=1, max_value=10))):
         kind = draw(
             st.sampled_from(
-                ["eq", "neq", "null", "anchor", "nav_eq", "num_le", "num_eq"]
+                ["eq", "neq", "null", "anchor", "nav_eq", "num_le", "num_eq", "const"]
             )
         )
         ops.append(
@@ -74,6 +74,8 @@ def apply_ops(store: ConstraintStore, ops) -> bool:
                 store.add_linear(LinExpr({store.node_of(n): 1}, -k), Rel.LE)
             elif kind == "num_eq":
                 store.add_linear(LinExpr({store.node_of(n): 1}, -k), Rel.EQ)
+            elif kind == "const":
+                store.const(k)
     except Inconsistent:
         return False
     return store.is_consistent()
